@@ -48,21 +48,6 @@ double ArbitrageAgent::KindPrice(const exchange::AuctionReport& report,
 
 double ComputeClearingSpread(
     const FederationReport& report,
-    const std::vector<const cluster::Fleet*>& fleets) {
-  PM_CHECK(report.shards.size() == fleets.size());
-  std::vector<const PoolRegistry*> registries;
-  std::vector<std::vector<double>> capacities;
-  registries.reserve(fleets.size());
-  capacities.reserve(fleets.size());
-  for (const cluster::Fleet* fleet : fleets) {
-    registries.push_back(&fleet->registry());
-    capacities.push_back(fleet->CapacityVector());
-  }
-  return ComputeClearingSpread(report, registries, capacities);
-}
-
-double ComputeClearingSpread(
-    const FederationReport& report,
     const std::vector<const PoolRegistry*>& registries,
     const std::vector<std::vector<double>>& capacities) {
   PM_CHECK(report.shards.size() == registries.size() &&

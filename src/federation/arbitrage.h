@@ -105,18 +105,12 @@ struct ArbitragePlan {
 
 /// Cross-shard clearing-price dispersion of one epoch: per kind, the
 /// relative spread (max − min)/min of the per-shard price signals,
-/// averaged over kinds priced in at least two shards.
-double ComputeClearingSpread(
-    const FederationReport& report,
-    const std::vector<const cluster::Fleet*>& fleets);
-
-/// Same spread over pre-captured per-shard capacity vectors instead of
-/// live fleet reads. The pipelined federation barrier uses this: epoch
-/// e's spread is measured while shard auctions for e+1 are already
-/// mutating fleet free-capacity state, but total capacities (what
-/// KindPrice filters on) only change under migrations, which the
-/// pipeline excludes — so capturing them once at pipeline start is
-/// exact, and the barrier never touches live shard state.
+/// averaged over kinds priced in at least two shards. Reads pre-captured
+/// per-shard registries and total capacities, not live fleets: the epoch
+/// driver's commit measures epoch e while shard auctions for e+1 may
+/// already be mutating free capacity, and total capacities (what
+/// KindPrice filters on) only change under migrations, after which the
+/// driver refreshes its captured vectors.
 double ComputeClearingSpread(
     const FederationReport& report,
     const std::vector<const PoolRegistry*>& registries,

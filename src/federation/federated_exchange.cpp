@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -315,49 +315,23 @@ void FederatedExchange::SubmitFederatedBid(FederatedBid bid) {
 }
 
 FederationReport FederatedExchange::RunEpoch() {
-  const int epoch = EpochCount();
-  if (!config_.supervisor.enabled && treasury_ != nullptr) {
-    // Unsupervised: a shard throwing mid-epoch propagates to the caller,
-    // but never with this epoch's allowances stranded in shard floats —
-    // the emergency sweep reconciles every (team, shard) pair first, so
-    // the planet ledger's invariants (conservation AND zero floats
-    // between epochs) hold in every terminal state.
-    try {
-      return RunEpochInternal(epoch);
-    } catch (...) {
-      EmergencySweep(epoch);
-      throw;
-    }
-  }
-  return RunEpochInternal(epoch);
-}
-
-void FederatedExchange::RunEpochs(const int n) {
-  PM_CHECK_MSG(n >= 0, "RunEpochs needs a non-negative epoch count");
-  if (n > 1 && CanPipeline()) {
-    RunEpochsPipelined(n);
-    return;
-  }
-  for (int i = 0; i < n; ++i) RunEpoch();
+  RunEpochs(1);
+  return history_.back();
 }
 
 bool FederatedExchange::CanPipeline() const {
   if (!config_.pipelined || pool_ == nullptr) return false;
-  // Every epoch-barrier phase that writes shard state (or reads state the
-  // overlapped auctions mutate) forces the serial loop: supervision
-  // (checkpoints + restores), the treasury (endowments + sweeps),
-  // arbitrage (external bids), the rebalancer (cluster migrations), a
-  // routing pass (external bids), and fault injection (the pipelined
-  // shard task skips the injection checks).
-  if (config_.supervisor.enabled) return false;
-  if (treasury_ != nullptr || arbitrage_ != nullptr ||
+  // Depth 2 opens epoch e + 1 and clears it while barrier e commits, so
+  // it needs an open phase that touches no shard state after the first
+  // epoch and a commit that writes none. Four stages break that:
+  // supervision (checkpoints + restores), the treasury (allowance pushes
+  // + sweeps; arbitrage requires it), the rebalancer (cluster
+  // migrations), and queued fault injection, which must land in the
+  // epoch it names. Routing does not: the driver routes the queue while
+  // opening the first epoch, before any shard task is posted, and
+  // nothing refills it mid-run without a supervisor.
+  if (config_.supervisor.enabled || treasury_ != nullptr ||
       rebalancer_ != nullptr) {
-    return false;
-  }
-  if (!pending_.empty()) return false;
-  // Wall-clock epoch timing brackets the whole serial epoch; there is no
-  // faithful equivalent once collections overlap barriers.
-  if (telemetry_ != nullptr && config_.telemetry.wall_clock_timings) {
     return false;
   }
   for (const char f : inject_fail_) {
@@ -369,166 +343,228 @@ bool FederatedExchange::CanPipeline() const {
   return true;
 }
 
-void FederatedExchange::RunEpochsPipelined(const int n) {
+telemetry::PhaseProfiler* FederatedExchange::WallProfiler() const {
+  return telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
+             ? telemetry_->profiler()
+             : nullptr;
+}
+
+void FederatedExchange::RunEpochs(const int n) {
+  PM_CHECK_MSG(n >= 0, "RunEpochs needs a non-negative epoch count");
+  if (n == 0) return;
   const int e0 = EpochCount();
   const int e_end = e0 + n;
+  // Window depth: epoch e is opened (and its shards may clear) once
+  // barrier e - depth has committed. Depth 1 is the paper's strict
+  // auction → settlement → reconfiguration cycle; depth 2 overlaps shard
+  // clearing for e + 1 with barrier e. A single epoch has nothing to
+  // overlap.
+  const int depth = n > 1 && CanPipeline() ? 2 : 1;
 
-  // Captured once: pool registries are append-only and total capacities
-  // only change under migrations, which CanPipeline() excludes — so the
-  // barrier's clearing-spread pass never reads live shard state.
-  std::vector<const PoolRegistry*> registries;
-  std::vector<std::vector<double>> capacities;
-  registries.reserve(shards_.size());
-  capacities.reserve(shards_.size());
+  // Pool registries are append-only and total capacities change only
+  // under migrations (CommitEpoch refreshes both shards after each one),
+  // so the clearing-spread pass never reads fleets that the next
+  // epoch's shard tasks may be mutating.
+  FleetShape shape;
+  shape.registries.reserve(shards_.size());
+  shape.capacities.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    registries.push_back(&shard->world.fleet.registry());
-    capacities.push_back(shard->world.fleet.CapacityVector());
+    shape.registries.push_back(&shard->world.fleet.registry());
+    shape.capacities.push_back(shard->world.fleet.CapacityVector());
   }
 
-  // Double-buffered per-shard summaries, keyed by epoch parity. A shard
-  // task for epoch e writes buffers[e & 1][k]; the barrier for epoch e
-  // swaps that whole vector out under the lock. Reusing a parity slot
-  // for epoch e + 2 is safe because the scheduling window below only
-  // admits epoch e + 2 after barrier e has committed (barrier_done >= e),
-  // i.e. after the slot was swapped out.
+  // Open epochs live in slot e & 1. A shard task for epoch e writes
+  // contexts[e & 1].summaries[k] under the lock; the barrier for e moves
+  // the context out. Reusing the slot for e + 2 is safe because that
+  // epoch is only opened after barrier e.
   std::mutex mu;
   std::condition_variable cv;
-  std::array<std::vector<ShardEpochSummary>, 2> buffers;
-  for (std::vector<ShardEpochSummary>& buffer : buffers) {
-    buffer.resize(shards_.size());
-  }
+  std::array<EpochContext, 2> contexts;
   std::vector<int> done_epoch(shards_.size(), e0 - 1);
-  std::vector<int> next_epoch(shards_.size(), e0);
-  std::vector<char> parked(shards_.size(), 0);
-  int barrier_done = e0 - 1;
+  std::vector<char> parked(shards_.size(), 1);  // Opening e0 unparks all.
+  std::deque<std::function<void()>> inline_tasks;  // No pool: run here.
+  int opened = e0 - 1;
   int running = 0;
   std::exception_ptr first_error;
 
-  // One in-flight task per shard, repost-scheduled: a task clears ONE
-  // epoch for ONE shard and never blocks, so the pipeline cannot
-  // deadlock however few worker threads the pool has. When a shard runs
-  // out of window (epoch e + 3 before barrier e + 1 commits) it parks;
-  // the barrier unparks it. Every notify happens while holding the
-  // mutex, so the main thread cannot observe the final state change,
-  // return, and destroy `cv` while a task is still about to signal it.
-  std::function<void(std::size_t, int)> collect =
-      [&](const std::size_t k, const int e) {
-        try {
-          ShardEpochSummary summary;
-          summary.shard = k;
-          summary.name = shards_[k]->name;
-          summary.report = shards_[k]->market->RunAuction();
-          std::lock_guard<std::mutex> lock(mu);
-          buffers[e & 1][k] = std::move(summary);
-          done_epoch[k] = e;
-          const int next = e + 1;
-          next_epoch[k] = next;
-          if (first_error == nullptr && next < e_end &&
-              next <= barrier_done + 2) {
-            pool_->Post([&collect, k, next] { collect(k, next); });
-          } else {
-            parked[k] = 1;
-            --running;
-          }
-          cv.notify_all();
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first_error == nullptr) {
-            first_error = std::current_exception();
-          }
-          parked[k] = 1;
-          --running;
-          cv.notify_all();
-        }
-      };
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      ++running;
-      pool_->Post([&collect, k, e0] { collect(k, e0); });
+  // Caller holds `mu`.
+  const auto post = [&](std::function<void()> task) {
+    if (pool_ != nullptr) {
+      pool_->Post(std::move(task));
+    } else {
+      inline_tasks.push_back(std::move(task));
     }
-  }
+  };
+  // Waits (holding `lock`) until `ready()`; without a pool the driver
+  // runs the queued shard tasks itself, outside the lock.
+  const auto wait_until = [&](std::unique_lock<std::mutex>& lock,
+                              const auto& ready) {
+    while (!ready()) {
+      if (inline_tasks.empty()) {
+        cv.wait(lock);
+        continue;
+      }
+      std::function<void()> task = std::move(inline_tasks.front());
+      inline_tasks.pop_front();
+      lock.unlock();
+      task();
+      lock.lock();
+    }
+  };
 
-  // Profiler wall channel: pipeline-window spans live here and ONLY
-  // here — occupancy (shards already collecting ahead of the barrier)
-  // and bubble (barrier wait) are scheduling-dependent, so they never
-  // enter the deterministic channel (the pipelined-vs-serial metrics
-  // byte-identity gate pins that).
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
+  // One in-flight task per shard, repost-scheduled: a task clears ONE
+  // epoch for ONE shard and never blocks, so the window cannot deadlock
+  // however few worker threads the pool has. A shard whose next epoch is
+  // not open yet parks; the driver unparks it after opening that epoch.
+  // Every notify happens while holding the mutex, so the driver cannot
+  // observe the final state change, return, and destroy `cv` while a
+  // task is still about to signal it.
+  std::function<void(std::size_t, int)> clear = [&](const std::size_t k,
+                                                    const int e) {
+    ShardEpochSummary summary;
+    std::exception_ptr error;
+    try {
+      summary = ClearShard(k);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (error != nullptr) {
+      if (first_error == nullptr) first_error = error;
+    } else {
+      contexts[e & 1].summaries[k] = std::move(summary);
+      done_epoch[k] = e;
+    }
+    const int next = e + 1;
+    if (error == nullptr && first_error == nullptr && next <= opened) {
+      post([&clear, k, next] { clear(k, next); });
+    } else {
+      parked[k] = 1;
+      --running;
+    }
+    cv.notify_all();
+  };
+  const auto all_done = [&](const int e) {
+    for (const int d : done_epoch) {
+      if (d < e) return false;
+    }
+    return true;
+  };
+  // Opens epochs up to `last` (driver thread, lock not held: the shard
+  // tasks in flight belong to earlier epochs), then unparks every shard
+  // whose next epoch is now open. Only the driver writes `opened`.
+  const auto open_through = [&](const int last) {
+    const int through = std::min(last, e_end - 1);
+    for (int e = opened + 1; e <= through; ++e) {
+      contexts[e & 1] = OpenEpoch(e);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    opened = through;
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      const int next = done_epoch[k] + 1;
+      if (parked[k] != 0 && first_error == nullptr && next <= opened) {
+        parked[k] = 0;
+        ++running;
+        post([&clear, k, next] { clear(k, next); });
+      }
+    }
+  };
+
+  // Profiler wall channel. The window-wait span (the barrier's bubble)
+  // exists only at depth 2: at depth 1 the driver waits out every shard
+  // auction, which the shard tracks already show. Occupancy (shards
+  // already clearing ahead of the barrier) is scheduling-dependent, so
+  // it lives only here, never in the deterministic channel.
+  telemetry::PhaseProfiler* prof = WallProfiler();
   const std::size_t fed_track =
       prof == nullptr ? 0 : prof->federation_track();
-
-  const RoutingResult no_routing;
-  const std::vector<std::uint64_t> no_traces;
-  for (int e = e0; e < e_end; ++e) {
-    const auto all_done = [&] {
-      for (const int d : done_epoch) {
-        if (d < e) return false;
-      }
-      return true;
-    };
-    telemetry::ScopedSpan wait_span(prof, fed_track, e, "window-wait");
-    int overlap = 0;
-    std::vector<ShardEpochSummary> summaries(shards_.size());
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] {
-        return all_done() || (first_error != nullptr && running == 0);
-      });
-      // A failed shard never finishes epoch e, but epochs every shard
-      // completed before the failure still commit — exactly the prefix
-      // the serial loop would have committed before rethrowing.
-      if (!all_done()) break;
-      buffers[e & 1].swap(summaries);
-      // Window occupancy at barrier entry: shards already done with a
-      // later epoch than the one this barrier commits.
-      for (const int d : done_epoch) {
-        if (d > e) ++overlap;
-      }
-    }
-    wait_span.AddArg("occupancy", static_cast<double>(overlap));
-    wait_span.Stop();
-
-    // The epoch barrier: single-threaded settlement + telemetry for
-    // epoch e, byte-identical to the serial RunEpochInternal tail for a
-    // pipeline-eligible configuration, while shard collections for
-    // epochs e + 1 / e + 2 already run on the pool.
-    telemetry::ScopedSpan barrier_span(prof, fed_track, e, "barrier");
-    barrier_span.AddArg("occupancy", static_cast<double>(overlap));
-    IngestShardTelemetry(e, summaries, no_routing, no_traces);
-    FederationReport report =
-        BuildFederationReport(e, std::move(summaries), RoutingResult{});
-    report.health = HealthBlock{};
-    report.clearing_spread =
-        ComputeClearingSpread(report, registries, capacities);
-    CloseEpochTelemetry(e, report, /*time_epoch=*/false, {});
-    history_.push_back(std::move(report));
-    barrier_span.Stop();
-
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      barrier_done = e;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        if (parked[k] != 0 && first_error == nullptr &&
-            next_epoch[k] < e_end && next_epoch[k] <= barrier_done + 2) {
-          parked[k] = 0;
-          ++running;
-          const int next = next_epoch[k];
-          pool_->Post([&collect, k, next] { collect(k, next); });
+  std::exception_ptr error;
+  try {
+    open_through(e0 + depth - 1);
+    for (int e = e0; e < e_end; ++e) {
+      telemetry::ScopedSpan wait_span(depth > 1 ? prof : nullptr, fed_track,
+                                      e, "window-wait");
+      int overlap = 0;
+      EpochContext ctx;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        wait_until(lock, [&] {
+          return all_done(e) || (first_error != nullptr && running == 0);
+        });
+        // A failed shard never finishes epoch e, but every epoch that
+        // all shards finished before the failure has already committed.
+        if (!all_done(e)) break;
+        ctx = std::move(contexts[e & 1]);
+        for (const int d : done_epoch) {
+          if (d > e) ++overlap;
         }
       }
+      wait_span.AddArg("occupancy", static_cast<double>(overlap));
+      wait_span.Stop();
+
+      telemetry::ScopedSpan barrier_span(prof, fed_track, e, "barrier");
+      barrier_span.AddArg("occupancy", static_cast<double>(overlap));
+      CommitEpoch(e, std::move(ctx), shape);
+      barrier_span.Stop();
+      open_through(e + depth);
     }
+  } catch (...) {
+    error = std::current_exception();
   }
 
-  // Drain before `collect`, `cv`, and the buffers leave scope; rethrow
-  // the first shard failure exactly like the serial unsupervised loop.
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return running == 0; });
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  // Drain before `clear`, `cv` and the contexts leave scope. A driver
+  // failure stops the window like a shard failure does.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (first_error == nullptr) first_error = error;
+    wait_until(lock, [&] { return running == 0; });
+    if (error == nullptr) error = first_error;
+  }
+  if (error != nullptr) {
+    // Unsupervised, a failure propagates to the caller, but never with
+    // this epoch's allowances stranded in shard floats — the emergency
+    // sweep reconciles every (team, shard) pair first, so the planet
+    // ledger's invariants (conservation AND zero floats between epochs)
+    // hold in every terminal state.
+    if (!config_.supervisor.enabled) EmergencySweep(EpochCount());
+    std::rethrow_exception(error);
+  }
+}
+
+ShardEpochSummary FederatedExchange::ClearShard(const std::size_t k) {
+  // One-shot injections are consumed by the shard epoch they target,
+  // however it ends: contained, propagated, or sat out in quarantine.
+  const bool crash = std::exchange(inject_fail_[k], 0) != 0;
+  const int budget = std::exchange(inject_round_budget_[k], -1);
+  const bool supervised = config_.supervisor.enabled;
+  ShardEpochSummary summary;
+  summary.shard = k;
+  summary.name = shards_[k]->name;
+  if (supervised && !health_[k].active) {
+    summary.participated = false;
+    return summary;
+  }
+  // Under supervision each shard epoch runs inside a containment
+  // boundary: a failed shard records its fault and the planet epoch
+  // completes without it. Unsupervised, the failure reaches the driver.
+  try {
+    exchange::AuctionReport r = shards_[k]->market->RunAuction();
+    // Injected crash: the auction ran to completion and mutated the
+    // shard before the fault lands — the worst case for containment.
+    PM_CHECK_MSG(!crash, "injected failure: shard "
+                             << k << " ('" << shards_[k]->name
+                             << "') crashed mid-epoch");
+    PM_CHECK_MSG(budget < 0 || r.rounds <= budget,
+                 "epoch budget exceeded: shard "
+                     << k << " ('" << shards_[k]->name << "') took "
+                     << r.rounds << " rounds (budget " << budget << ")");
+    summary.report = std::move(r);
+  } catch (const std::exception& e) {
+    if (!supervised) throw;
+    summary.failed = true;
+    summary.failure = e.what();
+  }
+  return summary;
 }
 
 void FederatedExchange::IngestShardTelemetry(
@@ -742,9 +778,8 @@ void FederatedExchange::IngestShardTelemetry(
   }
 }
 
-void FederatedExchange::CloseEpochTelemetry(
-    const int epoch, FederationReport& report, const bool time_epoch,
-    const std::chrono::steady_clock::time_point wall_start) {
+void FederatedExchange::CloseEpochTelemetry(const int epoch,
+                                            FederationReport& report) {
   if (telemetry_ == nullptr) return;
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const telemetry::Labels planet;
@@ -782,25 +817,13 @@ void FederatedExchange::CloseEpochTelemetry(
     }
   }
   reg.SnapshotEpoch(epoch);
-  if (time_epoch) {
-    reg.RecordTiming(
-        "epoch_wall_seconds",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count());
-  }
 }
 
-FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
+FederatedExchange::EpochContext FederatedExchange::OpenEpoch(
+    const int epoch) {
   const bool supervised = config_.supervisor.enabled;
-
-  // Wall-clock epoch timing is the one telemetry signal that cannot be
-  // deterministic; it flows into the registry's separate timing block,
-  // which only renders on an explicit MetricsJson(include_timings=true).
-  const bool time_epoch =
-      telemetry_ != nullptr && config_.telemetry.wall_clock_timings;
-  std::chrono::steady_clock::time_point wall_start{};
-  if (time_epoch) wall_start = std::chrono::steady_clock::now();
+  EpochContext ctx;
+  ctx.summaries.resize(shards_.size());
 
   // S0. Epoch-start health transitions and checkpoints. Quarantined
   // shards drain their backoff and sit the epoch out; one that has
@@ -808,8 +831,8 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // checkpointed *before* any epoch mutation (allowance endowments
   // included), so a contained failure can roll the shard back to the
   // epoch boundary and RefundAllowance squares the planet ledger.
-  std::vector<std::vector<std::uint8_t>> checkpoints(shards_.size());
   if (supervised) {
+    ctx.checkpoints.resize(shards_.size());
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       ShardHealthStatus& h = health_[k];
       if (h.status == ShardHealth::kQuarantined) {
@@ -824,7 +847,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       } else {
         h.active = true;
       }
-      if (h.active) checkpoints[k] = shards_[k]->market->Snapshot();
+      if (h.active) ctx.checkpoints[k] = shards_[k]->market->Snapshot();
     }
   }
   const auto shard_active = [&](std::size_t k) {
@@ -873,8 +896,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // and enter the bids through the shards' external-bid gates. The
   // first epoch has no price signal, so the agent sits it out.
   std::vector<ArbitragePlan> arb_plans;
-  std::size_t arb_buys_submitted = 0;
-  std::size_t arb_sells_submitted = 0;
   if (arbitrage_ != nullptr && !history_.empty()) {
     ensure_views();
     arb_plans = arbitrage_->PlanEpoch(&history_.back(), views,
@@ -896,9 +917,9 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
         // funded buys in one shard could otherwise win for more than the
         // margin granted and settle as a local overdraft.
         plan.bid.limit = std::min(plan.bid.limit, granted.ToDouble());
-        ++arb_buys_submitted;
+        ++ctx.arb_buys_submitted;
       } else {
-        ++arb_sells_submitted;
+        ++ctx.arb_sells_submitted;
       }
       shards_[plan.shard]->market->SubmitExternalBid(
           exchange::Market::ExternalBid{arbitrage_->team(), plan.bid});
@@ -909,24 +930,19 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // placed against the shared snapshot. Under supervision the originals
   // are kept: a bid whose shard fails mid-epoch is re-queued for next
   // epoch's pass over the healthy shards.
-  RoutingResult routing;
-  std::vector<FederatedBid> epoch_bids;
-  // Profiler wall channel: federation-track spans (route, barrier) are
-  // recorded here on the single epoch thread. Null when unarmed.
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
-  const std::size_t fed_track =
-      prof == nullptr ? 0 : prof->federation_track();
-  // Trace id per routing input (index-aligned with routing.decisions) —
-  // captured before pending_ is cleared so the post-auction telemetry
-  // passes can join shard outcomes back to bid lifecycles.
-  std::vector<std::uint64_t> epoch_traces;
   if (!pending_.empty()) {
-    telemetry::ScopedSpan route_span(prof, fed_track, epoch, "route");
+    // Profiler wall channel: recorded on the driver thread.
+    telemetry::PhaseProfiler* prof = WallProfiler();
+    telemetry::ScopedSpan route_span(
+        prof, prof == nullptr ? 0 : prof->federation_track(), epoch,
+        "route");
+    RoutingResult& routing = ctx.routing;
+    // Trace id per routing input (index-aligned with routing.decisions)
+    // — captured before pending_ is cleared so the commit's telemetry
+    // passes can join shard outcomes back to bid lifecycles.
+    std::vector<std::uint64_t>& epoch_traces = ctx.epoch_traces;
     ensure_views();
-    if (supervised) epoch_bids = pending_;
+    if (supervised) ctx.epoch_bids = pending_;
     if (telemetry_ != nullptr) {
       epoch_traces.reserve(pending_.size());
       for (const FederatedBid& fed : pending_) {
@@ -1010,67 +1026,22 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       }
     }
   }
+  return ctx;
+}
 
-  // 2. Clear every shard. Shards share no mutable state, so the rounds
-  // run concurrently; each shard's work is sequential within the shard,
-  // which keeps results bit-identical across thread counts. Under
-  // supervision each shard epoch runs inside a containment boundary:
-  // the catch is INSIDE the per-shard lambda (ParallelFor only rethrows
-  // the first exception after every chunk finishes, which would lose all
-  // but one failure and kill the whole epoch), so a failed shard records
-  // its fault and the planet epoch completes without it.
-  std::vector<ShardEpochSummary> summaries(shards_.size());
-  const auto run_shard = [&](std::size_t k) {
-    summaries[k].shard = k;
-    summaries[k].name = shards_[k]->name;
-    if (!shard_active(k)) {
-      summaries[k].participated = false;
-      return;
-    }
-    const auto run_one = [&] {
-      exchange::AuctionReport r = shards_[k]->market->RunAuction();
-      // Injected crash: the auction ran to completion and mutated the
-      // shard before the fault lands — the worst case for containment.
-      PM_CHECK_MSG(inject_fail_[k] == 0,
-                   "injected failure: shard " << k << " ('"
-                       << shards_[k]->name << "') crashed mid-epoch");
-      const int budget = inject_round_budget_[k];
-      PM_CHECK_MSG(budget < 0 || r.rounds <= budget,
-                   "epoch budget exceeded: shard "
-                       << k << " ('" << shards_[k]->name << "') took "
-                       << r.rounds << " rounds (budget " << budget
-                       << ")");
-      summaries[k].report = std::move(r);
-    };
-    if (!supervised) {
-      run_one();  // Failures propagate (first rethrown by ParallelFor).
-      return;
-    }
-    try {
-      run_one();
-    } catch (const std::exception& e) {
-      summaries[k].failed = true;
-      summaries[k].failure = e.what();
-    }
-  };
-  if (pool_ != nullptr) {
-    ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k) run_shard(k);
-  }
-  // One-shot injections are consumed by the epoch that ran them.
-  std::fill(inject_fail_.begin(), inject_fail_.end(), 0);
-  std::fill(inject_round_budget_.begin(), inject_round_budget_.end(), -1);
+void FederatedExchange::CommitEpoch(const int epoch, EpochContext ctx,
+                                    FleetShape& shape) {
+  const bool supervised = config_.supervisor.enabled;
+  std::vector<ShardEpochSummary>& summaries = ctx.summaries;
+  const RoutingResult& routing = ctx.routing;
+  const std::vector<std::uint64_t>& epoch_traces = ctx.epoch_traces;
 
   // T1. Telemetry ingest at the epoch barrier: the shard auctions are
-  // done and the epoch is single-threaded again, so every write in
+  // done and the commit is single-threaded, so every write in
   // IngestShardTelemetry is deterministic and ordered by shard index /
-  // routed-part order, independent of how the shards were scheduled
-  // above. It must run BEFORE the S1 containment pass so a failed
-  // shard's flight dump can include its auction-phase spans and events.
-  // The barrier span covers everything from here through T2 — the
-  // single-threaded tail of the epoch.
-  telemetry::ScopedSpan barrier_span(prof, fed_track, epoch, "barrier");
+  // routed-part order, independent of how the shards were scheduled.
+  // It must run BEFORE the S1 containment pass so a failed shard's
+  // flight dump can include its auction-phase spans and events.
   IngestShardTelemetry(epoch, summaries, routing, epoch_traces);
 
   // S1. Containment aftermath: roll failed shards back to their epoch
@@ -1087,7 +1058,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       } else if (summaries[k].failed) {
         // Bit-identical rejoin: the shard resumes from the exact state
         // the epoch started from, whatever the failure corrupted.
-        shards_[k]->market->Restore(checkpoints[k]);
+        shards_[k]->market->Restore(ctx.checkpoints[k]);
         ++h.restored_checkpoints;
         ++health_block.restored_checkpoints;
         ++health_block.failed_shards;
@@ -1205,7 +1176,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
           telemetry_ != nullptr ? epoch_traces[i] : 0;
       if (config_.supervisor.reroute_failed_bids &&
           failed_parts == decision.shards.size()) {
-        pending_.push_back(epoch_bids[i]);
+        pending_.push_back(ctx.epoch_bids[i]);
         ++health_block.rerouted_bids;
         if (trace != 0 && config_.telemetry.trace_bids) {
           telemetry::Span& span =
@@ -1249,12 +1220,11 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // 3. Merge into the planet-wide report. The clearing-price spread is
   // measured before any rebalancing so it reflects the fleets the prices
   // were discovered on.
-  FederationReport report = BuildFederationReport(epoch,
-                                                  std::move(summaries),
-                                                  std::move(routing));
+  FederationReport report = BuildFederationReport(
+      epoch, std::move(summaries), std::move(ctx.routing));
   report.health = std::move(health_block);
   report.clearing_spread =
-      ComputeClearingSpread(report, ShardFleets());
+      ComputeClearingSpread(report, shape.registries, shape.capacities);
 
   // 4. Arbitrage digest: map this epoch's awards into the warehouse
   // before the money is swept.
@@ -1263,8 +1233,8 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
     report.arbitrage.enabled = true;
     // Only bids that actually reached a shard's auction count — a buy
     // whose funding push came back empty was never submitted.
-    report.arbitrage.buys_planned = arb_buys_submitted;
-    report.arbitrage.sells_planned = arb_sells_submitted;
+    report.arbitrage.buys_planned = ctx.arb_buys_submitted;
+    report.arbitrage.sells_planned = ctx.arb_sells_submitted;
     report.arbitrage.holdings_units = arbitrage_->TotalHoldingsUnits();
     report.arbitrage.realized_pnl = arbitrage_->RealizedPnl();
     report.arbitrage.mark_to_market = arbitrage_->MarkToMarket();
@@ -1345,17 +1315,16 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
         continue;
       }
       report.migrations.push_back(ApplyMigration(plan, epoch));
+      for (const std::size_t k : {plan.from_shard, plan.to_shard}) {
+        shape.capacities[k] = shards_[k]->world.fleet.CapacityVector();
+      }
     }
   }
 
-  // T2. Close the epoch's telemetry: planet-wide gauges, the logical
-  // epoch snapshot, and — outside the deterministic channel — the
-  // wall-clock timing (see CloseEpochTelemetry).
-  CloseEpochTelemetry(epoch, report, time_epoch, wall_start);
-  barrier_span.Stop();
-
+  // T2. Close the epoch's telemetry: planet-wide gauges, the watchdog
+  // pass and the logical epoch snapshot.
+  CloseEpochTelemetry(epoch, report);
   history_.push_back(std::move(report));
-  return history_.back();
 }
 
 ClusterMigration FederatedExchange::ApplyMigration(

@@ -25,7 +25,6 @@
 // changes where the demand evaluation work runs, not the mechanism.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,19 +89,16 @@ struct FederationConfig {
   /// serially inline. Results are identical either way.
   std::size_t num_threads = 0;
 
-  /// Pipelined epochs (RunEpochs): overlap shard demand collection for
-  /// epoch e+1 with the single-threaded settlement/telemetry barrier of
-  /// epoch e, using double-buffered per-shard summary slots and a depth-2
-  /// epoch window. Off (the default), RunEpochs is a plain serial
-  /// RunEpoch loop — bit-identical to today's federation. On, the
-  /// pipeline engages only for configurations whose barrier does not
-  /// write shard state (no supervisor, no treasury/arbitrage/rebalancer,
-  /// no queued federated bids, no wall-clock timings, and a thread pool
-  /// to overlap on); anything else silently falls back to the serial
-  /// loop, which preserves supervisor/checkpoint semantics by
-  /// construction. Pipelined results are bit-identical to serial either
-  /// way: each shard's auction sequence is unchanged and the barrier
-  /// consumes epochs strictly in order (tests/pipelined_federation_test).
+  /// Pipelined epochs: RunEpochs(n > 1) widens its epoch window from
+  /// depth 1 to depth 2, clearing shards for epoch e+1 on the pool while
+  /// the single-threaded barrier commits epoch e. Depth 2 needs a thread
+  /// pool and a barrier that writes no shard state, so it is refused for
+  /// the supervisor, the treasury (and with it arbitrage), the rebalancer,
+  /// and queued fault injections; those run at depth 1, the strict
+  /// auction → settlement → reconfiguration cycle. Results are
+  /// bit-identical at either depth: each shard's auction sequence is
+  /// unchanged and the barrier commits epochs strictly in order
+  /// (tests/pipelined_federation_test).
   bool pipelined = false;
 
   /// When > 0, every shard's binding auctions run over the pm::net wire
@@ -132,8 +128,8 @@ struct FederationConfig {
   /// every instrumentation site below costs one null-pointer test, and
   /// epoch behavior plus every report is bit-identical to a federation
   /// without the plane (asserted by tests/telemetry_test.cpp). On, all
-  /// telemetry writes happen in RunEpoch's single-threaded barrier
-  /// sections, so exports stay byte-identical across thread counts.
+  /// telemetry writes happen on the epoch driver's thread, never in the
+  /// shard tasks, so exports stay byte-identical across thread counts.
   telemetry::TelemetryConfig telemetry;
 
   /// Federation-wide lossy-wire injection for the shards' proxy paths.
@@ -199,17 +195,19 @@ class FederatedExchange {
 
   std::size_t PendingFederatedBids() const { return pending_.size(); }
 
-  /// Runs one settlement epoch: snapshot shard views, route queued
-  /// federated bids, run every shard's auction round (concurrently when
-  /// configured), and merge the results. Returns the epoch's report (also
-  /// appended to History()).
+  /// Runs one settlement epoch — RunEpochs(1) — and returns its report
+  /// (also appended to History()).
   FederationReport RunEpoch();
 
-  /// Runs `n` epochs. With FederationConfig::pipelined on and an
-  /// eligible configuration (see the flag's comment) the epochs run
-  /// through the overlapped pipeline; otherwise this is exactly a serial
-  /// RunEpoch loop. History() gains `n` reports either way, bit-identical
-  /// between the two paths.
+  /// Runs `n` epochs through the one epoch driver. Each epoch is opened
+  /// (health checkpoints, treasury push, arbitrage, routing of queued
+  /// federated bids), cleared shard by shard (concurrently on the pool
+  /// when configured), and committed at a single-threaded barrier
+  /// (telemetry, containment, merge, sweep, rebalance). The window depth
+  /// is 1, or 2 under FederationConfig::pipelined (see the flag's
+  /// comment); History() gains `n` bit-identical reports either way. An
+  /// unsupervised shard failure propagates after the epochs before it
+  /// have committed and the emergency treasury sweep has run.
   void RunEpochs(int n);
 
   const std::vector<FederationReport>& History() const { return history_; }
@@ -224,8 +222,8 @@ class FederatedExchange {
   /// completion and then throws — exactly the shape of a crash landing
   /// after state was mutated, so containment must roll the shard back.
   /// With the supervisor on the failure is contained; off, it propagates
-  /// out of RunEpoch (after the emergency treasury sweep). Cleared after
-  /// the epoch; scenario timelines re-inject per epoch.
+  /// out of RunEpoch (after the emergency treasury sweep). Consumed by
+  /// that epoch either way; scenario timelines re-inject per epoch.
   void InjectShardFailure(std::size_t shard);
 
   /// One-shot virtual-time epoch budget: next epoch, shard k fails if its
@@ -267,29 +265,56 @@ class FederatedExchange {
   /// Executes one planned cluster migration and returns its record.
   ClusterMigration ApplyMigration(const MigrationPlan& plan, int epoch);
 
-  /// The epoch body; RunEpoch wraps it with the exception-unwind path.
-  FederationReport RunEpochInternal(int epoch);
+  /// What an opened epoch hands its shard tasks and its commit.
+  struct EpochContext {
+    std::vector<std::vector<std::uint8_t>> checkpoints;  // Supervised only.
+    RoutingResult routing;
+    std::vector<FederatedBid> epoch_bids;     // Originals, for re-queue.
+    std::vector<std::uint64_t> epoch_traces;  // Per routing input.
+    std::size_t arb_buys_submitted = 0;
+    std::size_t arb_sells_submitted = 0;
+    std::vector<ShardEpochSummary> summaries;  // One slot per shard task.
+  };
 
-  /// True when RunEpochs may take the overlapped pipeline: the barrier
-  /// must not write shard state (see FederationConfig::pipelined).
+  /// Per-shard pool registries and total capacities for the
+  /// clearing-spread pass, captured when the driver starts and refreshed
+  /// after each migration, so a commit never reads live fleets.
+  struct FleetShape {
+    std::vector<const PoolRegistry*> registries;
+    std::vector<std::vector<double>> capacities;
+  };
+
+  /// True when RunEpochs may run at window depth 2 (see
+  /// FederationConfig::pipelined).
   bool CanPipeline() const;
 
-  /// The overlapped epoch pipeline (only called when CanPipeline()).
-  void RunEpochsPipelined(int n);
+  /// The profiler when its wall channel is armed, else null.
+  telemetry::PhaseProfiler* WallProfiler() const;
+
+  /// Opens epoch `epoch` on the driver thread: S0 health transitions and
+  /// checkpoints, treasury allowance push, arbitrage bids, and routing.
+  EpochContext OpenEpoch(int epoch);
+
+  /// Clears shard k for the open epoch — the one per-shard task: the
+  /// participation check, RunAuction, the injected-fault checks (which
+  /// it consumes), and the supervisor's containment catch. Touches only
+  /// shard k, so tasks for different shards run concurrently.
+  ShardEpochSummary ClearShard(std::size_t k);
+
+  /// Commits epoch `epoch` at the single-threaded barrier: T1 ingest, S1
+  /// containment, merge, spread, arbitrage digest, sweep, rebalance, T2,
+  /// then appends the report to History().
+  void CommitEpoch(int epoch, EpochContext ctx, FleetShape& shape);
 
   /// The T1 barrier block: per-shard metric ingest plus bid-lifecycle
-  /// spans. Single-threaded by contract; shared verbatim by the serial
-  /// epoch and the pipelined barrier so the two stay byte-identical.
+  /// spans. Single-threaded by contract.
   void IngestShardTelemetry(int epoch,
                             const std::vector<ShardEpochSummary>& summaries,
                             const RoutingResult& routing,
                             const std::vector<std::uint64_t>& epoch_traces);
 
-  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot,
-  /// optional wall-clock timing. Shared like IngestShardTelemetry.
-  void CloseEpochTelemetry(
-      int epoch, FederationReport& report, bool time_epoch,
-      std::chrono::steady_clock::time_point wall_start);
+  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot.
+  void CloseEpochTelemetry(int epoch, FederationReport& report);
 
   /// Reconciles every (team, shard) float back onto the planet ledger —
   /// the exception-unwind path for the unsupervised federation: without

@@ -51,11 +51,11 @@ struct ProfilerConfig {
   /// also armed), and the flight recorder's phase work tree.
   bool work_accounting = false;
 
-  /// Wall-clock channel: phase spans and chrome://tracing export. Never
-  /// touches the deterministic outputs; unlike
-  /// TelemetryConfig::wall_clock_timings it does NOT make pipelined
-  /// configs fall back to the serial loop — spans are carried on
-  /// AuctionReport and recorded at the barrier either way.
+  /// Wall-clock channel: phase spans and chrome://tracing export — the
+  /// federation's one wall-time mechanism. Never touches the
+  /// deterministic outputs and never changes the epoch window depth:
+  /// shard spans ride AuctionReport and are recorded at the barrier,
+  /// federation spans on the driver thread, at depth 1 or 2 alike.
   bool wall_clock = false;
 };
 

@@ -1,11 +1,11 @@
 // Tests for FederationConfig::pipelined (federated_exchange.cpp's
-// RunEpochs / RunEpochsPipelined): the overlap must be invisible —
-// pipelined epochs byte-identical to the serial loop on every rendered
+// RunEpochs window at depth 2): the overlap must be invisible —
+// pipelined epochs byte-identical to a RunEpoch loop on every rendered
 // report and on the telemetry plane's deterministic metrics JSON, across
-// thread counts — and every config the barrier cannot overlap (epoch
-// supervision, the economy, pending routed bids, wall-clock timings,
-// fault injection) must fall back to the serial loop rather than
-// diverge.
+// thread counts — and every config whose barrier writes shard state
+// (epoch supervision, the economy, fault injection) must run at depth 1
+// rather than diverge. Bids queued before the run are routed while the
+// first epoch opens, so they do not stop the window from widening.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -104,7 +104,7 @@ TEST(PipelinedFederation, ZeroAndSingleEpochCalls) {
   FederatedExchange fed(BaseShards(2, 10), BaseConfig(true, 2));
   fed.RunEpochs(0);
   EXPECT_EQ(fed.EpochCount(), 0);
-  fed.RunEpochs(1);  // n == 1 has nothing to overlap: serial path.
+  fed.RunEpochs(1);  // n == 1 has nothing to overlap: depth 1.
   EXPECT_EQ(fed.EpochCount(), 1);
   fed.RunEpochs(2);
   EXPECT_EQ(fed.EpochCount(), 3);
@@ -124,7 +124,7 @@ TEST(PipelinedFederation, SupervisedConfigFallsBackToSerial) {
   EXPECT_EQ(MetricsOf(fed), MetricsOf(loop));
 }
 
-TEST(PipelinedFederation, PendingFederatedBidsFallBackToSerial) {
+TEST(PipelinedFederation, PendingFederatedBidsRouteAtFirstEpochThenPipeline) {
   auto submit = [](FederatedExchange& fed) {
     fed.EndowFederatedTeam("global", Money::FromDollars(100000));
     FederatedBid bid;
@@ -139,17 +139,24 @@ TEST(PipelinedFederation, PendingFederatedBidsFallBackToSerial) {
   submit(loop);
   for (int e = 0; e < kEpochs; ++e) loop.RunEpoch();
 
-  FederatedExchange fed(BaseShards(kShards, kTeams), BaseConfig(true, 2));
+  // The wall channel shows the window depth and never touches the
+  // deterministic outputs compared below.
+  FederationConfig traced = BaseConfig(true, 2);
+  traced.telemetry.profiler.wall_clock = true;
+  FederatedExchange fed(BaseShards(kShards, kTeams), traced);
   submit(fed);
-  // A routing pass writes shard state at the epoch boundary; the whole
-  // burst must run serially, not just the first epoch.
+  // The routing pass writes shard state, so it runs while epoch 0 opens,
+  // before any shard task is posted; the burst then runs at depth 2.
   fed.RunEpochs(kEpochs);
   EXPECT_EQ(RenderedHistory(fed), RenderedHistory(loop));
   EXPECT_EQ(MetricsOf(fed), MetricsOf(loop));
+  const std::string trace = fed.telemetry()->profiler()->ChromeTraceJson();
+  EXPECT_NE(trace.find("\"name\": \"route\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\": \"window-wait\""), std::string::npos);
 }
 
 TEST(PipelinedFederation, InjectedFaultsFallBackAndPropagate) {
-  // Unsupervised injected failure: the serial loop commits the epochs
+  // Unsupervised injected failure: a RunEpoch loop commits the epochs
   // before the failing one and throws. RunEpochs must do exactly that.
   FederatedExchange loop(BaseShards(kShards, kTeams),
                          BaseConfig(false, 2));
@@ -167,8 +174,8 @@ TEST(PipelinedFederation, InjectedFaultsFallBackAndPropagate) {
 }
 
 TEST(PipelinedFederation, ResumesPipeliningAfterPendingDrains) {
-  // Epoch 1 carries a routed bid (serial); later bursts with nothing
-  // pending may overlap again — and must still match the serial loop.
+  // Epoch 1 carries a routed bid (a single epoch: depth 1); the later
+  // burst overlaps again — and must still match the RunEpoch loop.
   auto submit = [](FederatedExchange& fed) {
     fed.EndowFederatedTeam("global", Money::FromDollars(100000));
     FederatedBid bid;
@@ -185,8 +192,8 @@ TEST(PipelinedFederation, ResumesPipeliningAfterPendingDrains) {
 
   FederatedExchange fed(BaseShards(kShards, kTeams), BaseConfig(true, 2));
   submit(fed);
-  fed.RunEpochs(1);   // Serial: a bid is pending.
-  fed.RunEpochs(3);   // Pipelined: the queue drained with epoch 1.
+  fed.RunEpochs(1);   // Depth 1: nothing to overlap.
+  fed.RunEpochs(3);   // Depth 2.
   EXPECT_EQ(fed.EpochCount(), 4);
   EXPECT_EQ(RenderedHistory(fed), RenderedHistory(loop));
   EXPECT_EQ(MetricsOf(fed), MetricsOf(loop));

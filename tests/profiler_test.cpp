@@ -326,6 +326,8 @@ TEST(WallChannelTest, SerialFederationRecordsShardAndFederationSpans) {
   EXPECT_NE(json.find("\"name\": \"barrier\""), std::string::npos);
   EXPECT_NE(json.find("federation"), std::string::npos);
   EXPECT_NE(json.find("shard-0"), std::string::npos);
+  // Depth 1: the barrier waits for every shard, so no window spans.
+  EXPECT_EQ(json.find("\"name\": \"window-wait\""), std::string::npos);
   // The wall channel never reaches the deterministic document.
   EXPECT_EQ(MetricsOf(fed).find("fed_work_"), std::string::npos);
 }

@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -252,11 +253,35 @@ TEST(SupervisorTest, FailedShardBidsAreRefundedWhenRerouteIsOff) {
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 
-TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
+/// The two public entry points of the epoch driver. An unsupervised
+/// failure escapes either one through the same unwind path.
+enum class EntryPoint { kRunEpoch, kRunEpochs };
+
+void PrintTo(EntryPoint entry, std::ostream* os) {
+  *os << (entry == EntryPoint::kRunEpoch ? "RunEpoch" : "RunEpochs");
+}
+
+class UnsupervisedCrashTest : public ::testing::TestWithParam<EntryPoint> {
+ protected:
+  static constexpr int kBurst = 3;
+
+  void Run(FederatedExchange& fed) const {
+    if (GetParam() == EntryPoint::kRunEpoch) {
+      fed.RunEpoch();
+    } else {
+      fed.RunEpochs(kBurst);
+    }
+  }
+  int EpochsPerRun() const {
+    return GetParam() == EntryPoint::kRunEpoch ? 1 : kBurst;
+  }
+};
+
+TEST_P(UnsupervisedCrashTest, SweepsTreasuryBeforePropagating) {
   // The exception-safety regression: without a supervisor a throwing
   // shard used to leave this epoch's allowances stranded in shard
   // floats. The emergency sweep must reconcile every float before the
-  // failure escapes RunEpoch.
+  // failure escapes the driver.
   FederationConfig config;
   config.seed = 19;
   config.economy.treasury = true;
@@ -265,7 +290,8 @@ TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
   fed.RunEpoch();
 
   fed.InjectShardFailure(1);
-  EXPECT_THROW(fed.RunEpoch(), CheckFailure);
+  EXPECT_THROW(Run(fed), CheckFailure);
+  EXPECT_EQ(fed.EpochCount(), 1);
 
   ASSERT_NE(fed.treasury(), nullptr);
   EXPECT_EQ(fed.treasury()->FloatTotal(), Money());
@@ -274,6 +300,26 @@ TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
   }
   ExpectConserved(*fed.treasury());
 }
+
+TEST_P(UnsupervisedCrashTest, PropagatedInjectionIsConsumed) {
+  // A one-shot injection is spent by the epoch it crashes, even when the
+  // failure propagates: the next run must not crash again.
+  FederationConfig config;
+  config.seed = 19;
+  FederatedExchange fed(ThreeShards(), config);
+  fed.InjectShardFailure(1);
+  EXPECT_THROW(Run(fed), CheckFailure);
+  fed.InjectEpochRoundBudget(2, 0);
+  EXPECT_THROW(Run(fed), CheckFailure);
+  EXPECT_EQ(fed.EpochCount(), 0);
+
+  EXPECT_NO_THROW(Run(fed));
+  EXPECT_EQ(fed.EpochCount(), EpochsPerRun());
+}
+
+INSTANTIATE_TEST_SUITE_P(EntryPoints, UnsupervisedCrashTest,
+                         ::testing::Values(EntryPoint::kRunEpoch,
+                                           EntryPoint::kRunEpochs));
 
 // ------------------------------------------------- health machine (3) --
 
